@@ -178,14 +178,25 @@ func TestAdaptationOverTCP(t *testing.T) {
 func TestNonImageEventsFiltered(t *testing.T) {
 	pub, _, disp, res := startPair(t)
 
-	// Converge onto a modulated plan first.
-	for i := 0; i < 10; i++ {
-		if _, err := pub.Publish(imaging.NewFrame(80, 80, int64(i))); err != nil {
+	// Converge onto a modulated plan first. Frames larger than the
+	// 160-pixel display make the post-resize split cheaper than shipping
+	// raw, and every non-raw cut includes the filter-path PSE. (Frames
+	// smaller than the display keep the plan raw, so junk would reach the
+	// subscriber.) Publish until a result reports the split rather than
+	// assuming a fixed number of frames converges.
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; ; i++ {
+		if _, err := pub.Publish(imaging.NewFrame(240, 240, int64(i))); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
+		waitCount(t, res, i+1)
+		if pses := res.splitPSEs(); pses[len(pses)-1] != partition.RawPSEID {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("plan never left raw: %v", res.splitPSEs())
+		}
 	}
-	waitCount(t, res, 10)
 	before := res.count()
 	for i := 0; i < 5; i++ {
 		if _, err := pub.Publish(mir.Str("junk")); err != nil {
@@ -193,7 +204,7 @@ func TestNonImageEventsFiltered(t *testing.T) {
 		}
 	}
 	// One more image flushes the stream so we can wait deterministically.
-	if _, err := pub.Publish(imaging.NewFrame(80, 80, 99)); err != nil {
+	if _, err := pub.Publish(imaging.NewFrame(240, 240, 99)); err != nil {
 		t.Fatal(err)
 	}
 	waitCount(t, res, before+1)

@@ -230,6 +230,35 @@ func (m *CodeMachine) Snapshot(names []string) map[string]mir.Value {
 	return out
 }
 
+// SizeVars returns the summed VarSizer price of the named registers, like
+// the stepping Machine's SizeVars. Unboxed scalars are handed over as a
+// same-kind constant: a scalar's encoded size does not depend on its value,
+// and boxing the real value would allocate.
+func (m *CodeMachine) SizeVars(names []string, s VarSizer) int64 {
+	var total int64
+	for _, n := range names {
+		idx, ok := m.code.slotOf[n]
+		if !ok {
+			continue
+		}
+		var v mir.Value
+		switch sl := &m.regs[idx]; sl.kind {
+		case skUnset:
+			continue
+		case skInt:
+			v = mir.Int(0)
+		case skFloat:
+			v = mir.Float(0)
+		case skBool:
+			v = mir.Bool(false)
+		default:
+			v = sl.v
+		}
+		total += s.Var(n, v)
+	}
+	return total
+}
+
 // Run executes until the program returns, the hook requests a split at a
 // watched edge, or a resource bound is hit. Outcomes, work and step counts,
 // and error text match the stepping Machine instruction for instruction.

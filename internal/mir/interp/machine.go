@@ -115,6 +115,26 @@ func (m *Machine) Snapshot(names []string) map[string]mir.Value {
 	return out
 }
 
+// VarSizer prices one named live variable as it would go on the wire;
+// wire.Sizer implements it. A machine hands it register values in place, so
+// sizing a would-be continuation needs no snapshot map.
+type VarSizer interface {
+	Var(name string, v mir.Value) int64
+}
+
+// SizeVars returns the summed VarSizer price of the named registers — what
+// sizing Snapshot(names) variable by variable in names order would give,
+// without building the snapshot. Unset registers are skipped.
+func (m *Machine) SizeVars(names []string, s VarSizer) int64 {
+	var total int64
+	for _, n := range names {
+		if v, ok := m.regs[n]; ok {
+			total += s.Var(n, v)
+		}
+	}
+	return total
+}
+
 // SetHook installs (or clears) the edge hook — the method form of writing
 // the Hook field, shared with CodeMachine so callers can drive either
 // engine through one interface.

@@ -8,7 +8,7 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"methodpart/internal/analysis"
 	"methodpart/internal/costmodel"
@@ -204,6 +204,6 @@ func (c *Compiled) ValidateSplitSet(ids []int32) error {
 func SortedIDs(ids []int32) []int32 {
 	out := make([]int32, len(ids))
 	copy(out, ids)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -64,22 +64,24 @@ func (d *Demodulator) SetProfilePlan(p *Plan) { d.profilePlan.Store(p) }
 func (d *Demodulator) ProfilePlan() *Plan { return d.profilePlan.Load() }
 
 // profileHook returns an edge hook observing profiled PSE crossings, or nil
-// when no profiling is active. baseWork is the sender-side work already
-// spent on the message (so crossing stats are message-cumulative).
-func (d *Demodulator) profileHook(machine execMachine, baseWork int64) interp.EdgeHook {
+// when no profiling is active, together with the sizer its crossings use;
+// the caller releases that sizer once the run is over. baseWork is the
+// sender-side work already spent on the message (so crossing stats are
+// message-cumulative).
+func (d *Demodulator) profileHook(machine execMachine, baseWork int64) (interp.EdgeHook, *crossSizer) {
 	plan := d.profilePlan.Load()
 	if plan == nil || len(plan.ProfileIDs()) == 0 {
-		return nil
+		return nil, nil
 	}
+	cross := &crossSizer{}
 	return func(e interp.Edge) bool {
 		ae := analysis.Edge{From: e.From, To: e.To}
 		if id, ok := d.c.PSEByEdge(ae); ok && plan.Profile(id) {
 			pse, _ := d.c.PSE(id)
-			snap := machine.Snapshot(pse.Vars)
-			d.CrossProbe.Cross(id, baseWork+machine.Work(), snapshotSize(pse.Vars, snap))
+			d.CrossProbe.Cross(id, baseWork+machine.Work(), cross.size(machine, pse.Vars))
 		}
 		return false
-	}
+	}, cross
 }
 
 // Result is the outcome of demodulating one message.
@@ -107,7 +109,9 @@ func (d *Demodulator) ProcessRaw(msg *wire.Raw) (res *Result, err error) {
 	if d.c.Engine == EngineCompiled {
 		d.compiledRuns.Add(1)
 	}
-	machine.SetHook(d.profileHook(machine, 0))
+	hook, cross := d.profileHook(machine, 0)
+	defer cross.release()
+	machine.SetHook(hook)
 	out, err := machine.Run()
 	if err != nil {
 		return nil, classify(wire.NackRuntime, err)
@@ -139,7 +143,9 @@ func (d *Demodulator) ProcessContinuation(cont *wire.Continuation) (res *Result,
 	if d.c.Engine == EngineCompiled {
 		d.compiledRuns.Add(1)
 	}
-	machine.SetHook(d.profileHook(machine, cont.ModWork))
+	hook, cross := d.profileHook(machine, cont.ModWork)
+	defer cross.release()
+	machine.SetHook(hook)
 	out, err := machine.Run()
 	if err != nil {
 		return nil, classify(wire.NackRuntime, err)

@@ -40,6 +40,7 @@ type execMachine interface {
 	SetHook(interp.EdgeHook)
 	Run() (interp.Outcome, error)
 	Snapshot(names []string) map[string]mir.Value
+	SizeVars(names []string, s interp.VarSizer) int64
 	Work() int64
 	Release()
 }

@@ -224,12 +224,9 @@ func snapshotSize(order []string, snap map[string]mir.Value) int64 {
 	s := wire.NewSizer()
 	var total int64
 	for _, n := range order {
-		v, ok := snap[n]
-		if !ok {
-			continue
+		if v, ok := snap[n]; ok {
+			total += s.Var(n, v)
 		}
-		total += 4 + int64(len(n))
-		total += s.Size(v)
 	}
 	return total
 }

@@ -16,6 +16,34 @@ type splitResult struct {
 	splitID   int32
 	splitVars []string
 	outcome   interp.Outcome
+	// cross sizes the run's profiled crossings; runSplit releases it.
+	cross crossSizer
+}
+
+// crossSizer prices profiled PSE crossings in place, straight from the
+// machine's registers. One pooled wire.Sizer serves every crossing of a
+// run, reset between crossings, so a crossing builds no snapshot map and no
+// fresh Sizer.
+type crossSizer struct{ s *wire.Sizer }
+
+// size returns the wire size of the continuation a split at a PSE with the
+// given live variables would ship now.
+func (cs *crossSizer) size(machine execMachine, vars []string) int64 {
+	if cs.s == nil {
+		cs.s = wire.GetSizer()
+	} else {
+		cs.s.Reset()
+	}
+	return machine.SizeVars(vars, cs.s)
+}
+
+// release returns the sizer to the pool. A nil crossSizer (no profiling)
+// releases nothing.
+func (cs *crossSizer) release() {
+	if cs != nil && cs.s != nil {
+		wire.PutSizer(cs.s)
+		cs.s = nil
+	}
 }
 
 // runSplit executes a machine until a flagged PSE (or a forced split before
@@ -26,14 +54,14 @@ type splitResult struct {
 // code watches.
 func runSplit(c *Compiled, machine execMachine, plan *Plan, probe SenderProbe, sampled bool, baseWork int64) (*splitResult, error) {
 	res := &splitResult{splitID: ForcedSplit}
+	defer res.cross.release()
 	machine.SetHook(func(e interp.Edge) bool {
 		ae := analysis.Edge{From: e.From, To: e.To}
 		id, isPSE := c.PSEByEdge(ae)
 		if isPSE {
 			pse, _ := c.PSE(id)
 			if sampled && plan.Profile(id) {
-				snap := machine.Snapshot(pse.Vars)
-				probe.Cross(id, baseWork+machine.Work(), snapshotSize(pse.Vars, snap))
+				probe.Cross(id, baseWork+machine.Work(), res.cross.size(machine, pse.Vars))
 			}
 			if plan.Split(id) {
 				res.splitID = id

@@ -2,7 +2,7 @@ package reconfig
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"methodpart/internal/analysis"
@@ -109,7 +109,19 @@ func newNodeSet(n int) nodeSet   { return make(nodeSet, (n+63)/64) }
 func (s nodeSet) has(i int) bool { return s[i/64]&(1<<uint(i%64)) != 0 }
 func (s nodeSet) add(i int)      { s[i/64] |= 1 << uint(i%64) }
 func (s nodeSet) clone() nodeSet { return append(nodeSet(nil), s...) }
-func (s nodeSet) key() string    { return fmt.Sprint([]uint64(s)) }
+
+// candidateCuts returns the candidate convex cuts for a selection capped at
+// max. They depend only on the compiled graph, so they are enumerated once
+// per Unit and again only when the cap changes. The returned view has
+// len == cap, so appending to it (buildFront adds the balanced cut when the
+// enumeration missed it) copies instead of writing into the cache.
+func (u *Unit) candidateCuts(max int) [][]int32 {
+	if u.cuts == nil || u.cutsMax != max {
+		u.cuts = u.enumerateCuts(max)
+		u.cutsMax = max
+	}
+	return u.cuts[:len(u.cuts):len(u.cuts)]
+}
 
 // enumerateCuts lists candidate convex cuts of the Unit Graph, each as a
 // sorted PSE id set. A candidate is the PSE frontier of a "closed" source
@@ -175,7 +187,6 @@ func (u *Unit) enumerateCuts(max int) [][]int32 {
 	}
 
 	cuts := [][]int32{{partition.RawPSEID}}
-	cutSeen := map[string]bool{cutKey(cuts[0]): true}
 
 	s0 := newNodeSet(n)
 	s0.add(ug.Start)
@@ -183,14 +194,15 @@ func (u *Unit) enumerateCuts(max int) [][]int32 {
 		return cuts
 	}
 	queue := []nodeSet{s0}
-	setSeen := map[string]bool{s0.key(): true}
+	// Source sets dedupe by their bitset words. Enumeration runs once per
+	// Unit, so a linear scan is cheap enough.
+	setSeen := []nodeSet{s0}
 
 	for len(queue) > 0 && len(cuts) < max {
 		s := queue[0]
 		queue = queue[1:]
 		cut := frontier(s)
-		if len(cut) > 0 && !cutSeen[cutKey(cut)] {
-			cutSeen[cutKey(cut)] = true
+		if len(cut) > 0 && !containsCut(cuts, cut) {
 			cuts = append(cuts, cut)
 		}
 		// Advance across each frontier PSE edge in turn.
@@ -210,8 +222,8 @@ func (u *Unit) enumerateCuts(max int) [][]int32 {
 				if !closure(next) {
 					continue
 				}
-				if k := next.key(); !setSeen[k] {
-					setSeen[k] = true
+				if !slices.ContainsFunc(setSeen, func(t nodeSet) bool { return slices.Equal(t, next) }) {
+					setSeen = append(setSeen, next)
 					queue = append(queue, next)
 				}
 			}
@@ -233,7 +245,7 @@ func (u *Unit) vectorFor(id int32, stats map[int32]costmodel.Stat, env costmodel
 	return costmodel.StaticVector(pse.Static, env)
 }
 
-// buildFront enumerates candidate cuts, prices each as a cost vector,
+// buildFront takes the candidate cuts, prices each as a cost vector,
 // drops dominated points and candidates priced out by the breaker overlay
 // (any tripped member pushes the scalar value to InfCapacity), and pins the
 // balanced min-cut's point. It returns the front sorted deterministically
@@ -243,9 +255,8 @@ func (u *Unit) buildFront(stats map[int32]costmodel.Stat, env costmodel.Environm
 	if max <= 0 {
 		max = DefaultMaxCandidates
 	}
-	cuts := u.enumerateCuts(max)
-	balKey := cutKey(balCut)
-	if !containsCut(cuts, balKey) {
+	cuts := u.candidateCuts(max)
+	if !containsCut(cuts, balCut) {
 		cuts = append(cuts, balCut)
 	}
 
@@ -257,7 +268,7 @@ func (u *Unit) buildFront(stats map[int32]costmodel.Stat, env costmodel.Environm
 			value += u.capacityFor(id, stats, env)
 			vec = vec.Add(u.vectorFor(id, stats, env))
 		}
-		bal := cutKey(cut) == balKey
+		bal := equalCut(cut, balCut)
 		if bal {
 			value = balValue
 		}
@@ -280,14 +291,14 @@ func (u *Unit) buildFront(stats map[int32]costmodel.Stat, env costmodel.Environm
 			front = append(front, p)
 		}
 	}
-	sort.Slice(front, func(i, j int) bool {
-		if front[i].Vec.Bytes != front[j].Vec.Bytes {
-			return front[i].Vec.Bytes < front[j].Vec.Bytes
+	slices.SortFunc(front, func(a, b FrontPoint) int {
+		if frontLess(a, b) {
+			return -1
 		}
-		if front[i].Vec.LatencyMS != front[j].Vec.LatencyMS {
-			return front[i].Vec.LatencyMS < front[j].Vec.LatencyMS
+		if frontLess(b, a) {
+			return 1
 		}
-		return cutLess(front[i].Cut, front[j].Cut)
+		return 0
 	})
 	balIdx := 0
 	for i := range front {
@@ -299,6 +310,17 @@ func (u *Unit) buildFront(stats map[int32]costmodel.Stat, env costmodel.Environm
 	return front, balIdx
 }
 
+// frontLess is the front's display order: bytes, then latency, then cut.
+func frontLess(a, b FrontPoint) bool {
+	if a.Vec.Bytes != b.Vec.Bytes {
+		return a.Vec.Bytes < b.Vec.Bytes
+	}
+	if a.Vec.LatencyMS != b.Vec.LatencyMS {
+		return a.Vec.LatencyMS < b.Vec.LatencyMS
+	}
+	return cutLess(a.Cut, b.Cut)
+}
+
 // choosePoint picks the front index the policy selects. Ties break through
 // a deterministic chain (secondary objective, failure rate, scalar cut
 // value, then cut identity) so repeated selections over identical inputs
@@ -307,27 +329,27 @@ func choosePoint(front []FrontPoint, balIdx int, policy SLOPolicy) int {
 	if policy == Balanced || len(front) == 0 {
 		return balIdx
 	}
-	key := func(p FrontPoint) []float64 {
+	key := func(p FrontPoint) policyKey {
 		v := p.Vec
 		switch policy {
 		case LatencyFirst:
-			return []float64{v.LatencyMS, v.Bytes, v.FailureRate, float64(p.CutValue)}
+			return policyKey{v.LatencyMS, v.Bytes, v.FailureRate, float64(p.CutValue)}
 		case CostFirst:
-			return []float64{v.Bytes, v.LatencyMS, v.FailureRate, float64(p.CutValue)}
+			return policyKey{v.Bytes, v.LatencyMS, v.FailureRate, float64(p.CutValue)}
 		case ReceiverWeak:
 			// Receiver energy proxy with the energy model's default
 			// weights: radio nJ/byte and CPU nJ/work-unit.
 			proxy := v.Bytes*250 + v.ReceiverWork*40
-			return []float64{proxy, v.ReceiverWork, v.Bytes, float64(p.CutValue)}
+			return policyKey{proxy, v.ReceiverWork, v.Bytes, float64(p.CutValue)}
 		default:
-			return []float64{float64(p.CutValue)}
+			return policyKey{float64(p.CutValue)}
 		}
 	}
 	best := 0
 	bestKey := key(front[0])
 	for i := 1; i < len(front); i++ {
 		k := key(front[i])
-		if lessKeys(k, bestKey) || (equalKeys(k, bestKey) && cutLess(front[i].Cut, front[best].Cut)) {
+		if lessKeys(k, bestKey) || (k == bestKey && cutLess(front[i].Cut, front[best].Cut)) {
 			best, bestKey = i, k
 		}
 	}
@@ -352,22 +374,18 @@ func policyPrimary(p FrontPoint, policy SLOPolicy) float64 {
 	}
 }
 
-func lessKeys(a, b []float64) bool {
+// policyKey is choosePoint's objective chain, compared lexicographically;
+// unused trailing entries stay zero. A fixed-size array keeps the
+// comparison free of per-point allocations.
+type policyKey [4]float64
+
+func lessKeys(a, b policyKey) bool {
 	for i := range a {
 		if a[i] != b[i] {
 			return a[i] < b[i]
 		}
 	}
 	return false
-}
-
-func equalKeys(a, b []float64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // cutLess orders cuts lexicographically, shorter first on shared prefixes.
@@ -380,11 +398,9 @@ func cutLess(a, b []int32) bool {
 	return len(a) < len(b)
 }
 
-func cutKey(cut []int32) string { return fmt.Sprint(cut) }
-
-func containsCut(cuts [][]int32, key string) bool {
+func containsCut(cuts [][]int32, cut []int32) bool {
 	for _, c := range cuts {
-		if cutKey(c) == key {
+		if equalCut(c, cut) {
 			return true
 		}
 	}

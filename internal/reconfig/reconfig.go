@@ -48,6 +48,10 @@ type Unit struct {
 
 	version uint64
 	tripped map[int32]bool
+	// cuts caches the candidate convex cuts enumerated under the cap
+	// cutsMax (see candidateCuts). Caller-serialized like version.
+	cuts    [][]int32
+	cutsMax int
 	// lastCut is the previously chosen cut, for flip accounting; like
 	// version/tripped it relies on caller serialization.
 	lastCut []int32
@@ -100,6 +104,8 @@ type Explanation struct {
 	// Front is the Pareto front of candidate cuts (sorted by bytes, then
 	// latency): the non-dominated points plus the pinned balanced
 	// min-cut's point. Front[Chosen] is the point Cut was taken from.
+	// The Cut slices are shared with the Unit's candidate-cut cache, so
+	// they are read-only like the rest of the Explanation.
 	Front []FrontPoint
 	// Chosen indexes the front point the policy selected.
 	Chosen int

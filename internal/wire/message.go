@@ -819,34 +819,33 @@ func Unmarshal(data []byte) (any, error) {
 // present, so a corrupt count or entry length fails fast instead of forcing
 // an allocation the input cannot back.
 func unmarshalBatch(data []byte) (*Batch, error) {
-	if len(data) < 4 {
+	d := Decoder{data: data}
+	count, err := d.readU32()
+	if err != nil {
 		return nil, fmt.Errorf("wire: batch header truncated")
 	}
-	count := binary.LittleEndian.Uint32(data[:4])
-	data = data[4:]
 	// Each entry costs at least a 4-byte length prefix plus a 1-byte
 	// message tag.
-	if int64(count) > int64(len(data))/5 {
+	if int64(count) > int64(d.Remaining())/5 {
 		return nil, fmt.Errorf("wire: batch count %d exceeds remaining payload", count)
 	}
 	b := &Batch{Entries: make([][]byte, 0, count)}
 	for i := uint32(0); i < count; i++ {
-		if len(data) < 4 {
+		n, err := d.readU32()
+		if err != nil {
 			return nil, fmt.Errorf("wire: batch entry %d header truncated", i)
 		}
-		n := binary.LittleEndian.Uint32(data[:4])
-		data = data[4:]
-		if int64(n) > int64(len(data)) {
-			return nil, fmt.Errorf("wire: batch entry %d length %d exceeds remaining %d", i, n, len(data))
+		if int64(n) > int64(d.Remaining()) {
+			return nil, fmt.Errorf("wire: batch entry %d length %d exceeds remaining %d", i, n, d.Remaining())
 		}
 		if n == 0 {
 			return nil, fmt.Errorf("wire: batch entry %d is empty", i)
 		}
-		b.Entries = append(b.Entries, data[:n:n])
-		data = data[n:]
+		entry, _ := d.take(int(n))
+		b.Entries = append(b.Entries, entry)
 	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("wire: batch has %d trailing bytes", len(data))
+	if d.Remaining() != 0 {
+		return nil, fmt.Errorf("wire: batch has %d trailing bytes", d.Remaining())
 	}
 	return b, nil
 }

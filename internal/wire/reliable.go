@@ -108,16 +108,17 @@ func AppendSeqEvent(dst []byte, seq uint64, payload []byte) []byte {
 // unmarshalSeqEvent decodes a SeqEvent payload without copying: the
 // enveloped frame aliases the input.
 func unmarshalSeqEvent(data []byte) (*SeqEvent, error) {
-	if len(data) < 8 {
+	d := Decoder{data: data}
+	seq, err := d.readU64()
+	if err != nil {
 		return nil, fmt.Errorf("wire: seq envelope header truncated")
 	}
-	seq := binary.LittleEndian.Uint64(data[:8])
-	payload := data[8:]
+	payload, _ := d.take(d.Remaining())
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("wire: seq envelope is empty")
 	}
 	if seq == 0 {
 		return nil, fmt.Errorf("wire: seq envelope with zero sequence")
 	}
-	return &SeqEvent{Seq: seq, Payload: payload[:len(payload):len(payload)]}, nil
+	return &SeqEvent{Seq: seq, Payload: payload}, nil
 }

@@ -1,7 +1,8 @@
 package wire
 
 import (
-	"sort"
+	"slices"
+	"sync"
 
 	"methodpart/internal/mir"
 )
@@ -16,12 +17,36 @@ type Sizer struct {
 	memSeen map[memKey]bool
 }
 
-// NewSizer creates a sizer. Like an Encoder, one Sizer spans one message.
+// NewSizer creates a sizer. Like an Encoder, one Sizer spans one message;
+// Reset makes it reusable for the next.
 func NewSizer() *Sizer {
 	return &Sizer{
 		objSeen: make(map[*mir.Object]bool),
 		memSeen: make(map[memKey]bool),
 	}
+}
+
+// Reset forgets every reference seen so far while keeping the tables'
+// capacity, so the sizer can price another message without reallocating.
+func (s *Sizer) Reset() {
+	clear(s.objSeen)
+	clear(s.memSeen)
+}
+
+// sizerPool recycles Sizers that must outlive one stack frame, such as the
+// one a profiling hook reuses across a run's PSE crossings, so those too
+// allocate nothing in the steady state.
+var sizerPool = sync.Pool{New: func() any { return NewSizer() }}
+
+// GetSizer returns a reset Sizer from a shared pool. Hand it back with
+// PutSizer once the message it prices is done.
+func GetSizer() *Sizer { return sizerPool.Get().(*Sizer) }
+
+// PutSizer resets s and returns it to the pool; s must not be used
+// afterwards.
+func PutSizer(s *Sizer) {
+	s.Reset()
+	sizerPool.Put(s)
 }
 
 // refSize is the encoded size of a back-reference (tag + u32).
@@ -56,11 +81,14 @@ func (s *Sizer) Size(v mir.Value) int64 {
 		}
 		s.objSeen[x] = true
 		total := int64(1 + 4 + len(x.Class) + 4)
-		names := make([]string, 0, len(x.Fields))
+		// Field names sort in a stack buffer; only objects wider than it
+		// allocate.
+		var buf [16]string
+		names := buf[:0]
 		for n := range x.Fields {
 			names = append(names, n)
 		}
-		sort.Strings(names)
+		slices.Sort(names)
 		for _, n := range names {
 			total += 4 + int64(len(n))
 			total += s.Size(x.Fields[n])
@@ -82,7 +110,16 @@ func (s *Sizer) sliceSize(tag byte, ptr uintptr, n int, elem int64) int64 {
 	return 1 + 4 + int64(n)*elem
 }
 
+// Var returns the encoded size of one named continuation variable: its
+// length-prefixed name plus its value, sharing references with everything
+// this Sizer has priced since the last Reset.
+func (s *Sizer) Var(name string, v mir.Value) int64 {
+	return 4 + int64(len(name)) + s.Size(v)
+}
+
 // SizeOf computes the encoded size of a single value with a fresh Sizer.
+// The Sizer and its tables live on the stack, so sizing a value with a
+// handful of references allocates nothing.
 func SizeOf(v mir.Value) int64 {
 	return NewSizer().Size(v)
 }

@@ -219,56 +219,105 @@ func (e *Encoder) claimRef(tag byte, ptr uintptr, n int) {
 	e.nextRef++
 }
 
-// Decoder deserialises values produced by an Encoder.
+// Decoder deserialises values produced by an Encoder. It walks the input
+// with a slice cursor: fixed-width fields are read in place without
+// allocating, and every variable-length field is clamped against the bytes
+// actually left before anything is allocated for it. Decoded values never
+// alias the input — strings, byte slices and arrays are copied out — so the
+// caller may recycle the frame as soon as decoding returns.
 type Decoder struct {
-	r    *bytes.Reader
+	data []byte
+	off  int
 	refs []mir.Value
 }
 
 // NewDecoder creates a decoder over the given bytes.
 func NewDecoder(data []byte) *Decoder {
-	return &Decoder{r: bytes.NewReader(data)}
+	return &Decoder{data: data}
 }
 
 // Remaining returns the number of unread bytes.
-func (d *Decoder) Remaining() int { return d.r.Len() }
+func (d *Decoder) Remaining() int { return len(d.data) - d.off }
 
-func (d *Decoder) readByte() (byte, error) { return d.r.ReadByte() }
+// take advances the cursor over n bytes and returns them, aliasing the
+// input. Like io.ReadFull it fails with io.EOF when nothing remains and
+// io.ErrUnexpectedEOF when only part of n does.
+func (d *Decoder) take(n int) ([]byte, error) {
+	if n > d.Remaining() {
+		if d.Remaining() == 0 {
+			return nil, io.EOF
+		}
+		return nil, io.ErrUnexpectedEOF
+	}
+	b := d.data[d.off : d.off+n : d.off+n]
+	d.off += n
+	return b, nil
+}
+
+func (d *Decoder) readByte() (byte, error) {
+	if d.off >= len(d.data) {
+		return 0, io.EOF
+	}
+	b := d.data[d.off]
+	d.off++
+	return b, nil
+}
 
 func (d *Decoder) readU32() (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(d.r, b[:]); err != nil {
+	b, err := d.take(4)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+	return binary.LittleEndian.Uint32(b), nil
 }
 
 func (d *Decoder) readU64() (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(d.r, b[:]); err != nil {
+	b, err := d.take(8)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	return binary.LittleEndian.Uint64(b), nil
 }
 
+// readString reads a length-prefixed string in one allocation (none for
+// the empty string); the conversion copies, so the result never aliases
+// the input.
 func (d *Decoder) readString() (string, error) {
 	n, err := d.readU32()
 	if err != nil {
 		return "", err
 	}
-	if int64(n) > int64(d.r.Len()) {
-		return "", fmt.Errorf("wire: string length %d exceeds remaining %d", n, d.r.Len())
+	if int64(n) > int64(d.Remaining()) {
+		return "", fmt.Errorf("wire: string length %d exceeds remaining %d", n, d.Remaining())
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		return "", err
+	b, _ := d.take(int(n))
+	return string(b), nil
+}
+
+// readLen reads an element count and clamps it against the remaining input
+// at elem bytes per element. int64 arithmetic so a 2^32-scale prefix cannot
+// overflow the comparison on 32-bit platforms and slip past the clamp.
+func (d *Decoder) readLen(what string, elem int64) (int, error) {
+	n, err := d.readU32()
+	if err != nil {
+		return 0, err
 	}
-	return string(buf), nil
+	if int64(n)*elem > int64(d.Remaining()) {
+		return 0, fmt.Errorf("wire: %s length %d exceeds remaining %d", what, n, d.Remaining())
+	}
+	return int(n), nil
+}
+
+// claim records a decoded slice value as the next back-reference target and
+// returns it, boxing it into an mir.Value once for both uses.
+func (d *Decoder) claim(v mir.Value) mir.Value {
+	d.refs = append(d.refs, v)
+	return v
 }
 
 // DecodeValue reads one value.
 func (d *Decoder) DecodeValue() (mir.Value, error) {
-	tag, err := d.r.ReadByte()
+	tag, err := d.readByte()
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +325,7 @@ func (d *Decoder) DecodeValue() (mir.Value, error) {
 	case tagNull:
 		return mir.Null{}, nil
 	case tagBool:
-		b, err := d.r.ReadByte()
+		b, err := d.readByte()
 		if err != nil {
 			return nil, err
 		}
@@ -300,57 +349,36 @@ func (d *Decoder) DecodeValue() (mir.Value, error) {
 		}
 		return mir.Str(s), nil
 	case tagBytes:
-		n, err := d.readU32()
+		n, err := d.readLen("bytes", 1)
 		if err != nil {
 			return nil, err
 		}
-		if int64(n) > int64(d.r.Len()) {
-			return nil, fmt.Errorf("wire: bytes length %d exceeds remaining %d", n, d.r.Len())
-		}
+		b, _ := d.take(n)
 		buf := make(mir.Bytes, n)
-		if _, err := io.ReadFull(d.r, buf); err != nil {
-			return nil, err
-		}
-		d.refs = append(d.refs, buf)
-		return buf, nil
+		copy(buf, b)
+		return d.claim(buf), nil
 	case tagIntArray:
-		n, err := d.readU32()
+		n, err := d.readLen("intarray", 8)
 		if err != nil {
 			return nil, err
 		}
-		// int64 arithmetic so a 2^32-scale prefix cannot overflow the
-		// comparison on 32-bit platforms and slip past the clamp.
-		if int64(n)*8 > int64(d.r.Len()) {
-			return nil, fmt.Errorf("wire: intarray length %d exceeds remaining %d", n, d.r.Len())
-		}
+		b, _ := d.take(n * 8)
 		arr := make(mir.IntArray, n)
 		for i := range arr {
-			u, err := d.readU64()
-			if err != nil {
-				return nil, err
-			}
-			arr[i] = int64(u)
+			arr[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
 		}
-		d.refs = append(d.refs, arr)
-		return arr, nil
+		return d.claim(arr), nil
 	case tagFloatArray:
-		n, err := d.readU32()
+		n, err := d.readLen("floatarray", 8)
 		if err != nil {
 			return nil, err
 		}
-		if int64(n)*8 > int64(d.r.Len()) {
-			return nil, fmt.Errorf("wire: floatarray length %d exceeds remaining %d", n, d.r.Len())
-		}
+		b, _ := d.take(n * 8)
 		arr := make(mir.FloatArray, n)
 		for i := range arr {
-			u, err := d.readU64()
-			if err != nil {
-				return nil, err
-			}
-			arr[i] = math.Float64frombits(u)
+			arr[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 		}
-		d.refs = append(d.refs, arr)
-		return arr, nil
+		return d.claim(arr), nil
 	case tagObject:
 		// Reserve the ref slot before decoding fields so nested
 		// back-references resolve in encoder order.
@@ -368,7 +396,7 @@ func (d *Decoder) DecodeValue() (mir.Value, error) {
 		// Each field costs at least a 4-byte name length plus a 1-byte
 		// value tag; a count the remaining input cannot possibly satisfy is
 		// corrupt, so fail before growing the field map toward it.
-		if int64(nf) > int64(d.r.Len())/5 {
+		if int64(nf) > int64(d.Remaining())/5 {
 			return nil, fmt.Errorf("wire: field count %d exceeds remaining payload", nf)
 		}
 		for i := uint32(0); i < nf; i++ {

@@ -157,10 +157,12 @@ func TestSizerPropertyMatchesEncoder(t *testing.T) {
 	}
 }
 
-func TestMessageRoundTrips(t *testing.T) {
+// messageCorpus is the message round-trip corpus: one of each message kind
+// that carries values or variable-length fields.
+func messageCorpus() []any {
 	ev := mir.NewObject("ImageData")
 	ev.Fields["buff"] = mir.Bytes{1, 2, 3}
-	msgs := []any{
+	return []any{
 		&Raw{Handler: "push", Seq: 7, Event: ev},
 		&Continuation{
 			Handler:    "push",
@@ -184,6 +186,10 @@ func TestMessageRoundTrips(t *testing.T) {
 		&Plan{Handler: "push", Version: 3, Split: []int32{1, 2}, Profile: []int32{0, 1, 2}},
 		&Subscribe{Subscriber: "client-1", Handler: "push", Source: "func push(e) {\n return\n}", CostModel: "datasize", Natives: []string{"displayImage", "beep"}},
 	}
+}
+
+func TestMessageRoundTrips(t *testing.T) {
+	msgs := messageCorpus()
 	for _, m := range msgs {
 		data, err := Marshal(m)
 		if err != nil {
