@@ -1,7 +1,11 @@
 package jecho_test
 
 import (
+	"fmt"
+	"net"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,6 +13,7 @@ import (
 	"methodpart/internal/costmodel"
 	"methodpart/internal/imaging"
 	"methodpart/internal/jecho"
+	"methodpart/internal/partition"
 	"methodpart/internal/transport"
 	"methodpart/internal/wire"
 )
@@ -60,26 +65,54 @@ func memSubscribe(t *testing.T, mem *transport.Mem, addr, name string) (*jecho.S
 // be closed to simulate the peer dying.
 func stalledSubscriber(t *testing.T, mem *transport.Mem, addr, name string) transport.Conn {
 	t.Helper()
-	conn, err := mem.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := wire.Marshal(&wire.Subscribe{
+	return rawSubscribe(t, mem, addr, imagingHello(name))
+}
+
+// imagingHello is the Subscribe handshake of the imaging handler.
+func imagingHello(name string) *wire.Subscribe {
+	return &wire.Subscribe{
 		Protocol:   wire.ProtocolVersion,
 		Subscriber: name,
 		Handler:    imaging.HandlerName,
 		Source:     imaging.HandlerSource(64),
 		CostModel:  costmodel.DataSizeName,
 		Natives:    []string{"displayImage"},
-	})
+	}
+}
+
+// rawSubscribe dials addr and sends hello; the caller drives the conn.
+func rawSubscribe(t *testing.T, mem *transport.Mem, addr string, hello *wire.Subscribe) transport.Conn {
+	t.Helper()
+	conn, err := mem.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	sendMsg(t, conn, hello)
+	return conn
+}
+
+func sendMsg(t *testing.T, conn transport.Conn, msg any) {
+	t.Helper()
+	data, err := wire.Marshal(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := conn.WriteFrame(data); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = conn.Close() })
-	return conn
+}
+
+// waitUntil polls cond until it holds, failing the test after 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func waitSubscribers(t *testing.T, pub *jecho.Publisher, want int) {
@@ -284,6 +317,162 @@ func TestOverflowBlock(t *testing.T) {
 		t.Fatalf("post-retirement publish: n=%d err=%v", n, err)
 	}
 	waitCount(t, healthyRes, int(published.Load())+1)
+}
+
+// stallTransport wraps Mem so that each accepted connection lets its first
+// pass frames through and then stops writing: the next WriteFrame closes
+// stalled and blocks until the connection is closed. It stands for a peer
+// that never reads, independent of how many frames the transport buffers.
+type stallTransport struct {
+	*transport.Mem
+	pass      int64
+	stalled   chan struct{}
+	stallOnce sync.Once
+}
+
+func (s *stallTransport) Listen(addr string) (transport.Listener, error) {
+	ln, err := s.Mem.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return stallListener{ln, s}, nil
+}
+
+type stallListener struct {
+	transport.Listener
+	tr *stallTransport
+}
+
+func (l stallListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &stallConn{Conn: c, tr: l.tr, closed: make(chan struct{})}, nil
+}
+
+type stallConn struct {
+	transport.Conn
+	tr        *stallTransport
+	writes    atomic.Int64
+	closed    chan struct{}
+	closeOnce sync.Once
+}
+
+func (c *stallConn) WriteFrame(payload []byte) error {
+	if c.writes.Add(1) <= c.tr.pass {
+		return c.Conn.WriteFrame(payload)
+	}
+	c.tr.stallOnce.Do(func() { close(c.tr.stalled) })
+	<-c.closed
+	return net.ErrClosed
+}
+
+func (c *stallConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestStalledReliablePeerKeepsControlLoopReading: an at-least-once peer
+// that never reads stalls the sender with the one-slot Block queue full.
+// Its repeated ack fires the idle-tail replay, and its heartbeats ask for
+// more echoes than the control lane holds. The control loop must send
+// neither by waiting for room, or it never reads the NACK that follows.
+func TestStalledReliablePeerKeepsControlLoopReading(t *testing.T) {
+	// Only the StreamStart handshake frame reaches the peer.
+	tr := &stallTransport{Mem: transport.NewMem(), pass: 1, stalled: make(chan struct{})}
+	reg, _ := imaging.Builtins()
+	pub, err := jecho.NewPublisher(jecho.PublisherConfig{
+		Transport:         tr,
+		Builtins:          reg,
+		Logf:              t.Logf,
+		QueueDepth:        1,
+		OverflowPolicy:    jecho.Block,
+		FeedbackEvery:     1 << 30,
+		HeartbeatInterval: -1,
+		WriteTimeout:      -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = pub.Close() })
+	hello := imagingHello("stalled")
+	hello.Reliability = wire.ReliabilityAtLeastOnce
+	conn := rawSubscribe(t, tr.Mem, pub.Addr(), hello)
+	waitSubscribers(t, pub, 1)
+
+	// The first event stalls the sender mid-write; the second fills the
+	// queue.
+	ev := imaging.NewFrame(16, 16, 0)
+	if _, err := pub.Publish(ev); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-tr.stalled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("sender never wrote the first event")
+	}
+	if _, err := pub.Publish(ev); err != nil {
+		t.Fatal(err)
+	}
+
+	sendMsg(t, conn, &wire.Ack{Seq: 0})
+	sendMsg(t, conn, &wire.Ack{Seq: 0}) // repeated: replays seqs 1..2
+	const heartbeats = 10
+	for i := 1; i <= heartbeats; i++ {
+		sendMsg(t, conn, &wire.Heartbeat{Seq: uint64(i)}) // each asks for an echo
+	}
+	sendMsg(t, conn, &wire.Nack{Handler: imaging.HandlerName, Seq: 1,
+		PSEID: partition.RawPSEID, Class: wire.NackRuntime})
+	waitUntil(t, "the NACK to be read", func() bool {
+		return findSub(t, pub, "stalled").Metrics.NacksReceived == 1
+	})
+
+	info := findSub(t, pub, "stalled")
+	m := info.Metrics
+	if m.AcksReceived != 2 || m.HeartbeatsReceived != heartbeats {
+		t.Errorf("read %d acks and %d heartbeats, want 2 and %d", m.AcksReceived, m.HeartbeatsReceived, heartbeats)
+	}
+	if m.Replayed != 0 || info.RingFrames != 2 {
+		t.Errorf("replayed %d with %d frames in the ring; a full queue must leave both in the ring",
+			m.Replayed, info.RingFrames)
+	}
+	if m.ControlDropped == 0 || m.HeartbeatsSent+m.ControlDropped != heartbeats {
+		t.Errorf("%d echoes queued and %d dropped, want %d in all with some dropped",
+			m.HeartbeatsSent, m.ControlDropped, heartbeats)
+	}
+}
+
+// TestPublishReachesEveryCountedSubscription: a subscription joins its
+// plan class before Subscribers() counts it, so a Publish issued as soon as
+// the count reads n reaches all n. Each subscriber takes its own channel,
+// so every handshake builds a new class.
+func TestPublishReachesEveryCountedSubscription(t *testing.T) {
+	pub, mem := newMemPublisher(t, jecho.PublisherConfig{
+		FeedbackEvery:     1 << 30,
+		HeartbeatInterval: -1,
+	})
+	const subs = 64
+	ev := imaging.NewFrame(8, 8, 0)
+	for n := 1; n <= subs; n++ {
+		hello := imagingHello(fmt.Sprintf("s%d", n))
+		hello.Channel = fmt.Sprintf("c%d", n)
+		rawSubscribe(t, mem, pub.Addr(), hello)
+		deadline := time.Now().Add(10 * time.Second)
+		for pub.Subscribers() < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("subscribers = %d, want %d", pub.Subscribers(), n)
+			}
+			runtime.Gosched()
+		}
+		reached, err := pub.Publish(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reached != n {
+			t.Errorf("Publish right after Subscribers() = %d reached %d", n, reached)
+		}
+	}
 }
 
 // TestFeedbackCoalescing: profiling feedback to a slow peer collapses to

@@ -134,6 +134,11 @@ type ChannelMetrics struct {
 	// DeadLettersRequarantined counts redelivery attempts that failed
 	// again and went back to quarantine.
 	DeadLettersRequarantined uint64
+	// ControlDropped counts control frames (Lost notices, heartbeat
+	// echoes) dropped because the control lane was full while the sender
+	// was stalled (publisher side). A later repair trigger re-declares a
+	// dropped Lost range.
+	ControlDropped uint64
 }
 
 // channelMetrics is the live, atomically-updated form behind a
@@ -179,6 +184,7 @@ type channelMetrics struct {
 	streamResets      atomic.Uint64
 	dlRedelivered     atomic.Uint64
 	dlRequarantined   atomic.Uint64
+	controlDropped    atomic.Uint64
 }
 
 // noteDepth records an observed queue depth, keeping the high-water mark.
@@ -256,5 +262,6 @@ func (m *channelMetrics) load() ChannelMetrics {
 		StreamResets:               m.streamResets.Load(),
 		DeadLettersRedelivered:     m.dlRedelivered.Load(),
 		DeadLettersRequarantined:   m.dlRequarantined.Load(),
+		ControlDropped:             m.controlDropped.Load(),
 	}
 }

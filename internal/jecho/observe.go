@@ -47,8 +47,8 @@ func newPSEHistograms(n int) *pseHistograms {
 
 // batchHistograms measures the shape of the batching path on one
 // subscription: how many events each wire frame carried and how full the
-// BatchBytes budget was when it left. Nil (batching off, or a v3 peer)
-// costs nothing — observe is a no-op.
+// BatchBytes budget was when it left. Nil (batching off) costs nothing —
+// observe is a no-op.
 type batchHistograms struct {
 	entries *obsv.Histogram
 	fill    *obsv.Histogram
@@ -303,6 +303,7 @@ var channelCounterDefs = []struct {
 	{"methodpart_channel_stream_resets_total", "Delivery-stream restarts observed via a changed StreamStart epoch; dedup state was discarded.", func(m ChannelMetrics) uint64 { return m.StreamResets }},
 	{"methodpart_channel_dead_letters_redelivered_total", "Quarantined messages successfully re-demodulated by RedeliverDeadLetters.", func(m ChannelMetrics) uint64 { return m.DeadLettersRedelivered }},
 	{"methodpart_channel_dead_letters_requarantined_total", "Redelivery attempts that failed again and returned to quarantine.", func(m ChannelMetrics) uint64 { return m.DeadLettersRequarantined }},
+	{"methodpart_channel_control_dropped_total", "Control frames (Lost notices, heartbeat echoes) dropped on a full control lane.", func(m ChannelMetrics) uint64 { return m.ControlDropped }},
 }
 
 // Per-PSE histogram family names and help strings.

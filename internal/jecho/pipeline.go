@@ -52,8 +52,8 @@ const DefaultQueueDepth = 64
 var errRetired = errors.New("jecho: subscription retired")
 
 // batchConfig is the per-subscription batching policy resolved at
-// handshake time: zero Bytes disables batching (the peer speaks protocol
-// v3, or the publisher left BatchBytes unset).
+// handshake time: zero Bytes disables batching (the publisher left
+// BatchBytes unset).
 type batchConfig struct {
 	// Bytes caps the coalesced payload of one batch frame. The first
 	// frame always fits regardless of size.
@@ -92,9 +92,8 @@ type sendPipeline struct {
 	sup     supervision
 	batch   batchConfig
 	// reliable wraps every outgoing event frame in a SeqEvent envelope
-	// carrying the queued delivery sequence (protocol v5, AtLeastOnce
-	// subscriptions only). Best-effort pipelines never touch the envelope
-	// path.
+	// carrying the queued delivery sequence (AtLeastOnce subscriptions
+	// only). Best-effort pipelines never touch the envelope path.
 	reliable bool
 
 	// Sender-goroutine only: heartbeat sequence plus the reusable buffers
@@ -108,9 +107,9 @@ type sendPipeline struct {
 	frames   []queuedFrame
 	entries  [][]byte
 
-	// ctrl carries small marshalled control frames (Lost notices) that
-	// must reach the peer through the sender goroutine but are neither
-	// events nor feedback.
+	// ctrl carries small marshalled control frames (Lost notices,
+	// heartbeat echoes) that must reach the peer through the sender
+	// goroutine but are neither events nor feedback.
 	ctrl chan []byte
 
 	stop     chan struct{} // closed by shutdown: unblocks enqueuers + sender
@@ -210,6 +209,33 @@ func (p *sendPipeline) enqueue(q queuedFrame) error {
 			return errRetired
 		}
 	}
+	return p.admitted()
+}
+
+// offer queues a replayed frame only if the queue has room right now: it
+// never blocks and never evicts a live frame, because its caller is the
+// control read loop, which must keep reading acks while the sender is
+// stalled on a slow peer. It consumes the frame reference on every path. A
+// false return leaves the frame to the replay ring and the next repair
+// trigger (a retransmit request, a repeated ack, a resume).
+func (p *sendPipeline) offer(q queuedFrame) (bool, error) {
+	select {
+	case <-p.stop:
+		q.f.Release()
+		return false, errRetired
+	default:
+	}
+	select {
+	case p.queue <- q:
+		return true, p.admitted()
+	default:
+		q.f.Release()
+		return false, nil
+	}
+}
+
+// admitted accounts one frame committed to the queue.
+func (p *sendPipeline) admitted() error {
 	p.metrics.enqueued.Add(1)
 	p.metrics.noteDepth(len(p.queue))
 	// If the pipeline retired between the commit above and here, the
@@ -233,15 +259,22 @@ func (p *sendPipeline) enqueue(q queuedFrame) error {
 	return nil
 }
 
-// enqueueControl hands a small marshalled control frame (e.g. a Lost
-// notice) to the sender goroutine. The caller yields ownership of data; it
-// blocks only while the control lane itself is full.
-func (p *sendPipeline) enqueueControl(data []byte) error {
+// enqueueControl hands a small marshalled control frame (a Lost notice or
+// a heartbeat echo) to the sender goroutine and reports whether it was
+// queued. The caller yields ownership of data. It never blocks: the control
+// read loop calls it, and waiting on a lane only a stalled sender drains
+// would stop that loop from reading the peer's acks. A full lane drops the
+// frame and counts it in ControlDropped; the next repair trigger re-declares
+// a dropped Lost range, and a dropped echo costs one RTT sample.
+func (p *sendPipeline) enqueueControl(data []byte) bool {
 	select {
 	case p.ctrl <- data:
-		return nil
+		return true
 	case <-p.stop:
-		return errRetired
+		return false
+	default:
+		p.metrics.controlDropped.Add(1)
+		return false
 	}
 }
 
@@ -349,7 +382,7 @@ func (p *sendPipeline) eventBytes(q queuedFrame) []byte {
 // sendEvents ships the first queued frame and, when batching is on,
 // whatever else the queue holds (plus a BatchDelay linger) up to
 // BatchBytes, as one batch wire frame. A single frame goes out unwrapped,
-// so a v4 peer on a quiet channel never pays the batch header.
+// so a peer on a quiet channel never pays the batch header.
 func (p *sendPipeline) sendEvents(first queuedFrame) bool {
 	if p.batch.Bytes <= 0 {
 		ok := p.write(p.eventBytes(first), false)

@@ -303,3 +303,54 @@ func TestBatchBytesBudget(t *testing.T) {
 	}
 	checkAccounting(t, m)
 }
+
+// TestControlLoopSendsNeverBlock: with the sender stalled, a replayed frame
+// that finds the queue full is refused without evicting the live frame
+// (even under DropOldest) and its reference is released, and a control
+// frame that finds the lane full is dropped and counted. Neither call
+// waits; on a retired pipeline both refuse without counting a drop.
+func TestControlLoopSendsNeverBlock(t *testing.T) {
+	m := &channelMetrics{}
+	p := newSendPipeline(newStubConn(true), 1, DropOldest, supervision{}, batchConfig{}, m, nil)
+	live := wire.NewFrame([]byte{1})
+	if err := p.enqueue(queuedFrame{f: live, seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ringHeld := wire.NewFrame([]byte{2})
+	ringHeld.Retain(1) // the replay ring's own reference
+	if queued, err := p.offer(queuedFrame{f: ringHeld, seq: 2}); queued || err != nil {
+		t.Fatalf("offer on a full queue = (%v, %v), want (false, nil)", queued, err)
+	}
+	if got := ringHeld.Refs(); got != 1 {
+		t.Errorf("refused replay frame holds %d refs, want the ring's 1", got)
+	}
+	if q := <-p.queue; q.f != live {
+		t.Error("offer evicted the live frame")
+	}
+	live.Release()
+	ringHeld.Release()
+
+	for i := 0; i < cap(p.ctrl); i++ {
+		if !p.enqueueControl([]byte{byte(i)}) {
+			t.Fatalf("control frame %d refused with lane room left", i)
+		}
+	}
+	if p.enqueueControl([]byte{0xff}) {
+		t.Error("control frame accepted on a full lane")
+	}
+	if got := m.snapshot().ControlDropped; got != 1 {
+		t.Errorf("ControlDropped = %d, want 1", got)
+	}
+
+	p.shutdown()
+	if p.enqueueControl([]byte{0}) {
+		t.Error("control frame accepted on a retired pipeline")
+	}
+	f := wire.NewFrame([]byte{3})
+	if queued, err := p.offer(queuedFrame{f: f, seq: 3}); queued || !errors.Is(err, errRetired) {
+		t.Errorf("offer on a retired pipeline = (%v, %v), want (false, errRetired)", queued, err)
+	}
+	if got := m.snapshot().ControlDropped; got != 1 {
+		t.Errorf("ControlDropped = %d after retire, want 1", got)
+	}
+}

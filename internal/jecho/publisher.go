@@ -48,8 +48,7 @@ type PublisherConfig struct {
 	// BatchBytes enables wire-level event batching: when the outbound
 	// queue holds more than one event frame, the sender coalesces up to
 	// BatchBytes of payload into a single batch wire frame (0 disables
-	// batching). Batching only engages for subscribers speaking protocol
-	// v4 or newer; a v3 peer transparently receives unbatched frames.
+	// batching).
 	BatchBytes int
 	// BatchDelay is how long the sender lingers after the first frame of
 	// a batch for more to arrive, when the queue alone did not reach
@@ -57,14 +56,14 @@ type PublisherConfig struct {
 	// Only meaningful with BatchBytes > 0.
 	BatchDelay time.Duration
 	// ReplayRingBytes bounds the per-subscription replay ring backing
-	// at-least-once delivery (protocol v5): sent frames stay retained
-	// until the subscriber's cumulative ack, up to this many payload
-	// bytes; beyond it the oldest unacked frames are evicted (counted as
-	// RingEvictions, surfacing later as DataLoss if the subscriber needed
-	// them). 0 = DefaultReplayRingBytes; negative disables retention —
-	// events are still sequenced and loss still detected, but nothing can
-	// be replayed. Only subscriptions requesting AtLeastOnce pay any of
-	// this; best-effort subscriptions never touch the ring.
+	// at-least-once delivery: sent frames stay retained until the
+	// subscriber's cumulative ack, up to this many payload bytes; beyond it
+	// the oldest unacked frames are evicted (counted as RingEvictions,
+	// surfacing later as DataLoss if the subscriber needed them). 0 =
+	// DefaultReplayRingBytes; negative disables retention — events are
+	// still sequenced and loss still detected, but nothing can be replayed.
+	// Only subscriptions requesting AtLeastOnce pay any of this;
+	// best-effort subscriptions never touch the ring.
 	ReplayRingBytes int
 	// HeartbeatInterval is the idle-liveness probe period per
 	// subscription (0 = DefaultHeartbeatInterval, <0 disables
@@ -99,7 +98,7 @@ type PublisherConfig struct {
 	SplitPolicy reconfig.SLOPolicy
 	// LinkEstimateInterval enables per-subscription link estimation when
 	// > 0: the publisher measures RTT from heartbeat echoes (its idle
-	// heartbeats and echo replies double as probes; v6 subscribers reflect
+	// heartbeats and echo replies double as probes; subscribers reflect
 	// them) and effective bandwidth from the send path's bytes-on-wire
 	// over wall time, and refreshes the degrade unit's environment at this
 	// period so breaker-forced plan re-selections price against the
@@ -130,11 +129,11 @@ type PublisherConfig struct {
 // Publisher hosts an event channel: it accepts subscriptions and fans
 // published events out through them. Subscriptions are pooled into
 // plan-equivalence classes (see registry.go): everyone on the same
-// (channel, handler, plan, protocol, batching) key shares one modulator
-// and one marshalled frame per event, so an event costs one modulation and
-// one marshal per *class* and the per-subscriber work is a refcounted
-// queue handoff. Each subscription still owns an asynchronous send
-// pipeline, so Publish never blocks on a peer's socket.
+// (channel, handler, plan) key shares one modulator and one marshalled
+// frame per event, so an event costs one modulation and one marshal per
+// *class* and the per-subscriber work is a refcounted queue handoff. Each
+// subscription still owns an asynchronous send pipeline, so Publish never
+// blocks on a peer's socket.
 type Publisher struct {
 	cfg      PublisherConfig
 	sup      supervision
@@ -147,7 +146,7 @@ type Publisher struct {
 	classes classIndex
 
 	// stateMu guards closed and nextID plus the registration handshake
-	// (insert + initial class join run under it so Close cannot miss a
+	// (initial class join + insert run under it so Close cannot miss a
 	// subscription registered concurrently).
 	stateMu sync.Mutex
 	nextID  int
@@ -193,8 +192,6 @@ type compiledEntry struct {
 type subscription struct {
 	id       string
 	channel  string
-	proto    uint32
-	batched  bool
 	conn     transport.Conn
 	compiled *partition.Compiled
 	env      *interp.Env
@@ -448,8 +445,6 @@ func classKeyFor(s *subscription, plan *partition.Plan) classKey {
 		channel: s.channel,
 		prog:    s.progKey,
 		plan:    plan.Fingerprint(),
-		proto:   s.proto,
-		batched: s.batched,
 	}
 }
 
@@ -567,13 +562,11 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 		_ = conn.Close()
 		return
 	}
-	// Protocol negotiation: accept any version in [Min, Current]. The
-	// subscriber's version caps what the publisher sends it — batch
-	// frames only go to peers that can unpack them (v4+); everything
-	// else in the current protocol is understood by v3.
-	if subMsg.Protocol < wire.MinProtocolVersion || subMsg.Protocol > wire.ProtocolVersion {
-		p.cfg.Logf("jecho publisher: protocol %d from %s, want %d..%d",
-			subMsg.Protocol, subMsg.Subscriber, wire.MinProtocolVersion, wire.ProtocolVersion)
+	// Both ends are built from one tree, so they speak exactly one
+	// revision; anything else is refused, never negotiated.
+	if subMsg.Protocol != wire.ProtocolVersion {
+		p.cfg.Logf("jecho publisher: protocol %d from %s, want %d",
+			subMsg.Protocol, subMsg.Subscriber, wire.ProtocolVersion)
 		_ = conn.Close()
 		return
 	}
@@ -595,7 +588,6 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 	metrics := &channelMetrics{}
 	sub := &subscription{
 		channel:  subMsg.Channel,
-		proto:    subMsg.Protocol,
 		conn:     conn,
 		compiled: compiled,
 		env:      entry.env,
@@ -615,20 +607,14 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 		})
 	}
 	var batch batchConfig
-	if p.cfg.BatchBytes > 0 && subMsg.Protocol >= wire.BatchProtocolVersion {
+	if p.cfg.BatchBytes > 0 {
 		batch = batchConfig{
 			Bytes: p.cfg.BatchBytes,
 			Delay: p.cfg.BatchDelay,
 			hists: newBatchHistograms(),
 		}
-		sub.batched = true
 	}
-	// Reliability negotiation: at-least-once engages only when the peer
-	// both speaks v5 and asked for it. A v4-or-older peer decodes to
-	// Reliability zero, so the downgrade to the classic best-effort path
-	// is transparent — no envelopes, no ring, no acks.
-	reliable := subMsg.Protocol >= wire.ReliableProtocolVersion &&
-		subMsg.Reliability == wire.ReliabilityAtLeastOnce
+	reliable := subMsg.Reliability == wire.ReliabilityAtLeastOnce
 	if reliable {
 		sub.rel = p.acquireRelState(relKey{
 			subscriber: subMsg.Subscriber,
@@ -657,15 +643,17 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 			p.retire(sub)
 		})
 	sub.pipe.reliable = reliable
-	if sub.link != nil && subMsg.Protocol >= wire.EchoProtocolVersion {
-		// Idle heartbeats double as RTT probes: a v6 subscriber echoes
+	if sub.link != nil {
+		// Idle heartbeats double as RTT probes: the subscriber echoes
 		// their Seq back through the control loop.
 		sub.pipe.probe = sub.nextProbe
 	}
 
-	// Registration: id assignment, registry insert and the initial class
-	// join are one critical section against Close, so a closing publisher
-	// either rejects the subscription here or retires it on its sweep.
+	// Registration: id assignment, the initial class join and the registry
+	// insert are one critical section against Close, so a closing publisher
+	// either rejects the subscription here or retires it on its sweep. The
+	// class join comes first: once Subscribers(), Subscriptions() or
+	// Status() count the subscription, a Publish already reaches it.
 	p.stateMu.Lock()
 	if p.closed {
 		p.stateMu.Unlock()
@@ -675,11 +663,11 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 	}
 	p.nextID++
 	sub.id = fmt.Sprintf("%s#%d", subMsg.Subscriber, p.nextID)
-	p.reg.insert(sub)
 	p.classes.mu.Lock()
 	p.joinClassLocked(sub, initialPlan, nil)
 	p.classes.rebuildLocked()
 	p.classes.mu.Unlock()
+	p.reg.insert(sub)
 	p.stateMu.Unlock()
 
 	if p.cfg.Tracer != nil {
@@ -732,10 +720,9 @@ func (p *Publisher) handleConn(conn transport.Conn) {
 			if m.HasEcho && sub.link != nil {
 				sub.link.Echo(m.EchoSeq)
 			}
-			if m.Seq > 0 && sub.proto >= wire.EchoProtocolVersion {
-				// Reflect the subscriber's probe (pre-v6 peers would not
-				// understand the echo flag); when estimating, ride our own
-				// probe on the reply so this side samples RTT too.
+			if m.Seq > 0 {
+				// Reflect the subscriber's probe; when estimating, ride our
+				// own probe on the reply so this side samples RTT too.
 				p.echoHeartbeat(sub, m.Seq)
 			}
 			if sub.link != nil {
@@ -829,10 +816,9 @@ func (p *Publisher) echoHeartbeat(s *subscription, seq uint64) {
 	if err != nil {
 		return
 	}
-	if err := s.pipe.enqueueControl(data); err != nil {
-		return
+	if s.pipe.enqueueControl(data) {
+		s.metrics.heartbeatsSent.Add(1)
 	}
-	s.metrics.heartbeatsSent.Add(1)
 }
 
 // applyWirePlan validates a subscriber-pushed plan and migrates the
@@ -897,7 +883,9 @@ func (p *Publisher) handleAck(s *subscription, seq uint64) {
 // their original sequence numbers — the subscriber's dedup absorbs any
 // overshoot. Replayed frames ship as originally modulated; continuations
 // are self-describing (PSEID, resume node, saved vars), so a plan flip
-// landing mid-replay cannot desynchronise the demodulator.
+// landing mid-replay cannot desynchronise the demodulator. Nothing here
+// blocks: replay runs on the control read loop, so frames that find the
+// queue full stay in the ring for the next repair trigger.
 func (p *Publisher) deliverReplay(s *subscription, rep replaySet) {
 	if rep.lostTo != 0 {
 		n := rep.lostTo - rep.lostFrom + 1
@@ -906,24 +894,21 @@ func (p *Publisher) deliverReplay(s *subscription, rep replaySet) {
 		p.cfg.Logf("jecho publisher: sub %s: ring evicted seqs %d..%d before repair; declaring %d events lost",
 			s.id, rep.lostFrom, rep.lostTo, n)
 		if data, err := wire.Marshal(&wire.Lost{From: rep.lostFrom, To: rep.lostTo}); err == nil {
-			_ = s.pipe.enqueueControl(data) // retired pipe: the resume on reconnect re-declares
+			s.pipe.enqueueControl(data)
 		}
 	}
 	if len(rep.frames) == 0 {
 		return
 	}
 	traceReplay(p.cfg.Tracer, s.channel, s.id, rep.frames[0].seq, rep.frames[len(rep.frames)-1].seq)
-	retired := false
-	for _, q := range rep.frames {
-		if retired {
-			q.f.Release()
-			continue
-		}
-		if err := s.pipe.enqueue(q); err != nil {
-			// enqueue consumed this frame's reference; drop the rest. The
-			// ring still holds everything for the next resume.
-			retired = true
-			continue
+	for i, q := range rep.frames {
+		if queued, err := s.pipe.offer(q); !queued || err != nil {
+			// offer consumed this frame's reference; release the rest. The
+			// ring still holds them all.
+			for _, rest := range rep.frames[i+1:] {
+				rest.f.Release()
+			}
+			return
 		}
 		s.metrics.replayed.Add(1)
 	}

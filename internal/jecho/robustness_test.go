@@ -1,6 +1,7 @@
 package jecho_test
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -92,30 +93,43 @@ func TestBadHandlerSourceRejected(t *testing.T) {
 	}
 }
 
+// TestProtocolMismatchRejected: the publisher speaks exactly
+// wire.ProtocolVersion. Every other revision, older or newer, is refused at
+// the handshake and registers nothing.
 func TestProtocolMismatchRejected(t *testing.T) {
-	pub := newTestPublisher(t)
-	conn, err := net.Dial("tcp", pub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	data, err := wire.Marshal(&wire.Subscribe{
-		Protocol: 99, Subscriber: "future", Handler: "f",
-		Source: "func f(x) {\n return\n}", CostModel: "datasize",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := transport.WriteFrame(conn, data); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1)
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := conn.Read(buf); err == nil {
-		t.Error("connection survived protocol mismatch")
-	}
-	if pub.Subscribers() != 0 {
-		t.Error("mismatched protocol registered a subscription")
+	for _, proto := range []uint32{0, 3, 4, 5, 7} {
+		t.Run(fmt.Sprintf("v%d", proto), func(t *testing.T) {
+			pub := newTestPublisher(t)
+			conn, err := net.Dial("tcp", pub.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			data, err := wire.Marshal(&wire.Subscribe{
+				Protocol: proto, Subscriber: "other", Handler: "f",
+				Source: "func f(x) {\n return\n}", CostModel: "datasize",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := transport.WriteFrame(conn, data); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 1)
+			_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if _, err := conn.Read(buf); err == nil {
+				t.Error("connection survived protocol mismatch")
+			}
+			if n := pub.Subscribers(); n != 0 {
+				t.Errorf("mismatched protocol registered %d subscriptions", n)
+			}
+			if n := len(pub.Subscriptions()); n != 0 {
+				t.Errorf("mismatched protocol listed %d subscriptions", n)
+			}
+			if n := pub.PlanClasses(); n != 0 {
+				t.Errorf("mismatched protocol created %d plan classes", n)
+			}
+		})
 	}
 }
 

@@ -1,15 +1,17 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 
 	"methodpart/internal/mir"
 )
 
 // FuzzUnmarshal: arbitrary bytes must decode to a message or fail with an
-// error — never panic and never allocate absurd amounts. The corpus is
-// seeded with one valid frame of every protocol message so the fuzzer
-// starts from deep, structurally interesting inputs.
+// error — never panic and never allocate absurd amounts — and a control
+// message the decoder accepts must re-encode to exactly the input bytes.
+// The corpus is seeded with one valid frame of every protocol message so
+// the fuzzer starts from deep, structurally interesting inputs.
 func FuzzUnmarshal(f *testing.F) {
 	ev := mir.NewObject("ImageData")
 	ev.Fields["buff"] = make(mir.Bytes, 64)
@@ -87,10 +89,39 @@ func FuzzUnmarshal(f *testing.F) {
 	// epoch (the receiver-side "no stream adopted" sentinel).
 	f.Add([]byte{byte(MsgStreamStart), 1, 2})
 	f.Add([]byte{byte(MsgStreamStart), 0, 0, 0, 0, 0, 0, 0, 0})
+	// Shapes an older build wrote, which must now fail to decode: a
+	// heartbeat without its flag byte, a Subscribe without the reliability
+	// fields, and a Subscribe without the resume epoch.
+	hb, err := Marshal(&Heartbeat{Seq: 6})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(hb[:9])
+	sub, err := Marshal(seeds[8])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sub[:len(sub)-20])
+	f.Add(sub[:len(sub)-8])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := Unmarshal(data)
 		if err == nil && msg == nil {
 			t.Fatalf("Unmarshal(%x): nil message with nil error", data)
+		}
+		if err != nil {
+			return
+		}
+		// Control messages have one encoding: whatever the decoder accepts
+		// re-encodes to exactly the input bytes.
+		switch msg.(type) {
+		case *Feedback, *Plan, *Subscribe, *Nack, *Heartbeat, *Ack, *Retransmit, *Lost, *StreamStart:
+			again, err := Marshal(msg)
+			if err != nil {
+				t.Fatalf("Unmarshal(%x) accepted %+v, which does not marshal: %v", data, msg, err)
+			}
+			if !bytes.Equal(again, data) {
+				t.Fatalf("Unmarshal(%x) accepted %+v, which marshals to %x", data, msg, again)
+			}
 		}
 	})
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestReliableRoundTrips covers the revision-5 control frames.
+// TestReliableRoundTrips covers the at-least-once control frames.
 func TestReliableRoundTrips(t *testing.T) {
 	inner, err := Marshal(&Nack{Handler: "h", Seq: 1}) // any valid frame works as a payload
 	if err != nil {
@@ -143,81 +143,8 @@ func TestSubscribeReliabilityRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSubscribePreEpochDowngrade: a handshake from an earlier revision-5
-// build — Reliability and ResumeSeq present, no ResumeEpoch — decodes with
-// epoch 0, which every publisher state treats as foreign (fresh stream).
-func TestSubscribePreEpochDowngrade(t *testing.T) {
-	m := &Subscribe{
-		Protocol: ProtocolVersion, Subscriber: "mid", Handler: "h",
-		Source: "src", CostModel: "datasize",
-		Reliability: ReliabilityAtLeastOnce, ResumeSeq: 55,
-	}
-	e := NewEncoder()
-	e.w.WriteByte(byte(MsgSubscribe))
-	e.writeU32(m.Protocol)
-	e.writeString(m.Subscriber)
-	e.writeString(m.Channel)
-	e.writeString(m.Handler)
-	e.writeString(m.Source)
-	e.writeString(m.CostModel)
-	e.writeU32(0) // no natives
-	e.writeU32(m.Reliability)
-	e.writeU64(m.ResumeSeq)
-	data := make([]byte, e.Len())
-	copy(data, e.Bytes())
-	got, err := Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := got.(*Subscribe)
-	if out.Reliability != ReliabilityAtLeastOnce || out.ResumeSeq != 55 || out.ResumeEpoch != 0 {
-		t.Fatalf("pre-epoch subscribe mis-decoded: %+v", out)
-	}
-}
-
-// legacySubscribe hand-encodes a pre-revision-5 Subscribe frame — exactly
-// the bytes a v4 peer would produce, with nothing after the natives.
-func legacySubscribe(m *Subscribe) []byte {
-	e := NewEncoder()
-	e.w.WriteByte(byte(MsgSubscribe))
-	e.writeU32(m.Protocol)
-	e.writeString(m.Subscriber)
-	e.writeString(m.Channel)
-	e.writeString(m.Handler)
-	e.writeString(m.Source)
-	e.writeString(m.CostModel)
-	e.writeU32(uint32(len(m.Natives)))
-	for _, n := range m.Natives {
-		e.writeString(n)
-	}
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
-}
-
-// TestSubscribeV4Downgrade: a legacy handshake without the trailing
-// reliability fields decodes to best-effort with no resume point — the v5
-// publisher treats a v4 subscriber exactly as a v4 publisher did.
-func TestSubscribeV4Downgrade(t *testing.T) {
-	data := legacySubscribe(&Subscribe{
-		Protocol: 4, Subscriber: "old", Handler: "h",
-		Source: "src", CostModel: "datasize", Natives: []string{"n"},
-	})
-	got, err := Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := got.(*Subscribe)
-	if m.Subscriber != "old" || len(m.Natives) != 1 {
-		t.Fatalf("legacy subscribe mis-decoded: %+v", m)
-	}
-	if m.Reliability != ReliabilityBestEffort || m.ResumeSeq != 0 {
-		t.Fatalf("legacy subscribe grew reliability fields: %+v", m)
-	}
-}
-
-// TestHeartbeatAckPiggyback covers the revision-5 heartbeat extension and
-// the legacy form (seq only, no flag byte).
+// TestHeartbeatAckPiggyback: a heartbeat's piggybacked ack survives the
+// round trip, and an ackless heartbeat does not grow one.
 func TestHeartbeatAckPiggyback(t *testing.T) {
 	data, err := Marshal(&Heartbeat{Seq: 3, HasAck: true, AckSeq: 88})
 	if err != nil {
@@ -242,15 +169,5 @@ func TestHeartbeatAckPiggyback(t *testing.T) {
 	}
 	if hb := got.(*Heartbeat); hb.HasAck || hb.AckSeq != 0 {
 		t.Fatalf("ackless heartbeat grew an ack: %+v", hb)
-	}
-
-	// Legacy frame: tag + seq, no flag byte at all.
-	legacy := []byte{byte(MsgHeartbeat), 6, 0, 0, 0, 0, 0, 0, 0}
-	got, err = Unmarshal(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hb := got.(*Heartbeat); hb.Seq != 6 || hb.HasAck {
-		t.Fatalf("legacy heartbeat mis-decoded: %+v", hb)
 	}
 }

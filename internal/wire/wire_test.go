@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -252,15 +253,65 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 }
 
+// TestUnmarshalErrors: every field a frame carries is mandatory, enums
+// decode only to values they define, and a frame holds exactly one
+// message. Past the first three, each case starts from a valid frame and
+// breaks one thing.
 func TestUnmarshalErrors(t *testing.T) {
-	if _, err := Unmarshal(nil); err == nil {
-		t.Error("empty message accepted")
+	frame := func(m any) []byte {
+		t.Helper()
+		data, err := Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	if _, err := Unmarshal([]byte{99}); err == nil {
-		t.Error("unknown type accepted")
+	// patchU32 overwrites the little-endian u32 at off (negative counts
+	// from the end).
+	patchU32 := func(data []byte, off int, v uint32) []byte {
+		if off < 0 {
+			off += len(data)
+		}
+		binary.LittleEndian.PutUint32(data[off:], v)
+		return data
 	}
-	if _, err := Unmarshal([]byte{byte(MsgRaw), 1}); err == nil {
-		t.Error("truncated message accepted")
+	nack := func() []byte { return frame(&Nack{Handler: "h", Seq: 1, PSEID: 2, Class: NackRestore}) }
+	sub := func() []byte {
+		return frame(&Subscribe{Protocol: ProtocolVersion, Subscriber: "s", Handler: "h",
+			Source: "src", CostModel: "datasize", Natives: []string{"n"},
+			Reliability: ReliabilityAtLeastOnce, ResumeSeq: 5, ResumeEpoch: 7})
+	}
+	// Subscribe ends in Reliability (4 bytes), ResumeSeq and ResumeEpoch
+	// (8 each).
+	const subTail = 20
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"empty message", nil},
+		{"unknown type", []byte{99}},
+		{"truncated raw", []byte{byte(MsgRaw), 1}},
+		{"nack class zero", patchU32(nack(), -4, 0)},
+		{"nack class past budget", patchU32(nack(), -4, uint32(NackBudget)+1)},
+		{"nack class truncating to restore", patchU32(nack(), -4, 0x102)},
+		{"subscribe reliability 2", patchU32(sub(), -subTail, 2)},
+		{"subscribe reliability 9", patchU32(sub(), -subTail, 9)},
+		{"subscribe without reliability fields", sub()[:len(sub())-subTail]},
+		{"subscribe without resume epoch", sub()[:len(sub())-8]},
+		{"heartbeat without flag byte", frame(&Heartbeat{Seq: 6})[:9]},
+		{"heartbeat unknown flag bit", append(frame(&Heartbeat{Seq: 6})[:9], 1<<2)},
+		{"heartbeat flagged ack missing", append(frame(&Heartbeat{Seq: 6})[:9], hbFlagAck)},
+		{"raw trailing byte", append(frame(&Raw{Handler: "h", Seq: 1, Event: mir.Int(3)}), 0)},
+		{"nack trailing byte", append(nack(), 0)},
+		{"subscribe trailing byte", append(sub(), 0)},
+		{"heartbeat trailing byte", append(frame(&Heartbeat{Seq: 6, HasEcho: true, EchoSeq: 2}), 0)},
+		{"ack trailing byte", append(frame(&Ack{Seq: 3}), 0)},
+		{"stream start trailing byte", append(frame(&StreamStart{Epoch: 3}), 0)},
+	}
+	for _, c := range cases {
+		if msg, err := Unmarshal(c.data); err == nil {
+			t.Errorf("%s: decoded to %+v, want an error", c.name, msg)
+		}
 	}
 }
 
